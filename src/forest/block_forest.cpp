@@ -8,6 +8,18 @@ using types::Block;
 using types::BlockPtr;
 using types::QuorumCert;
 
+namespace {
+
+// The longest_certified_tip() order: higher height, then higher view, then
+// lower hash — so the winner never depends on arrival or map order.
+bool outranks(const Block& a, const Block& b) {
+  if (a.height() != b.height()) return a.height() > b.height();
+  if (a.view() != b.view()) return a.view() > b.view();
+  return a.hash() < b.hash();
+}
+
+}  // namespace
+
 BlockForest::BlockForest() {
   BlockPtr genesis = Block::genesis();
   Vertex v;
@@ -27,12 +39,12 @@ AddResult BlockForest::add(BlockPtr block) {
 
   const auto parent_it = vertices_.find(block->parent_hash());
   if (parent_it == vertices_.end()) {
-    auto& bucket = orphans_[block->parent_hash()];
     // Avoid unbounded duplicates in the orphan buffer.
-    for (const BlockPtr& existing : bucket) {
-      if (existing->hash() == block->hash()) return AddResult::kOrphaned;
+    if (!orphan_index_.emplace(block->hash(), block).second) {
+      return AddResult::kOrphaned;
     }
-    bucket.push_back(std::move(block));
+    orphan_heights_[block->height()].push_back(block->hash());
+    orphans_[block->parent_hash()].push_back(std::move(block));
     return AddResult::kOrphaned;
   }
 
@@ -46,21 +58,20 @@ AddResult BlockForest::add(BlockPtr block) {
 
 void BlockForest::connect(BlockPtr block) {
   const crypto::Digest hash = block->hash();
-  vertices_[block->parent_hash()].children.push_back(hash);
+  Vertex& parent = vertices_[block->parent_hash()];
+  parent.children.push_back(hash);
+  // A late fork below the committed tip: prune()'s chain walk may already
+  // have passed its parent.
+  if (parent.committed &&
+      parent.block->height() < committed_tip_->height()) {
+    side_roots_.push_back(hash);
+  }
   Vertex v;
   v.block = std::move(block);
-  vertices_.emplace(hash, std::move(v));
+  const BlockPtr& b = vertices_.emplace(hash, std::move(v)).first->second.block;
   // If this block was certified before it arrived (QC travelled faster),
   // refresh the certified-tip tracking now.
-  if (qcs_.count(hash) > 0) {
-    const BlockPtr& b = vertices_[hash].block;
-    if (!longest_certified_ ||
-        b->height() > longest_certified_->height() ||
-        (b->height() == longest_certified_->height() &&
-         b->view() > longest_certified_->view())) {
-      longest_certified_ = b;
-    }
-  }
+  if (qcs_.count(hash) > 0) offer_certified(b);
   flush_orphans_of(hash);
 }
 
@@ -69,6 +80,7 @@ void BlockForest::flush_orphans_of(const crypto::Digest& parent_hash) {
   if (it == orphans_.end()) return;
   std::vector<BlockPtr> pending = std::move(it->second);
   orphans_.erase(it);
+  for (const BlockPtr& orphan : pending) orphan_index_.erase(orphan->hash());
   for (BlockPtr& orphan : pending) {
     const auto parent_it = vertices_.find(parent_hash);
     if (parent_it != vertices_.end() &&
@@ -99,16 +111,16 @@ bool BlockForest::add_qc(const QuorumCert& qc) {
     high_qc_ = qc;
   }
 
-  const BlockPtr block = get(qc.block_hash);
-  if (block && inserted) {
-    if (!longest_certified_ ||
-        block->height() > longest_certified_->height() ||
-        (block->height() == longest_certified_->height() &&
-         block->view() > longest_certified_->view())) {
-      longest_certified_ = block;
-    }
+  if (inserted) {
+    if (const BlockPtr block = get(qc.block_hash)) offer_certified(block);
   }
   return inserted;
+}
+
+void BlockForest::offer_certified(const BlockPtr& block) {
+  if (!longest_certified_ || outranks(*block, *longest_certified_)) {
+    longest_certified_ = block;
+  }
 }
 
 bool BlockForest::is_certified(const crypto::Digest& hash) const {
@@ -192,94 +204,113 @@ std::optional<crypto::Digest> BlockForest::committed_hash_at(
 }
 
 std::vector<BlockPtr> BlockForest::prune() {
-  // Keep: the committed chain (all heights; bodies of old committed blocks
-  // could move to cold storage, but the simulation keeps hashes only via
-  // committed_hashes_ and may drop old vertices), plus every descendant of
-  // the committed tip.
+  // Keep: the committed chain (all heights), plus every descendant of the
+  // committed tip. Only two places can hold anything else: the forks off
+  // the segment committed since the last call, and the side roots.
   std::vector<BlockPtr> dropped;
-  // Mark descendants of the committed tip.
-  std::unordered_map<crypto::Digest, bool> keep;
-  keep.reserve(vertices_.size());
-  std::vector<crypto::Digest> stack{committed_tip_->hash()};
-  while (!stack.empty()) {
-    const crypto::Digest h = stack.back();
-    stack.pop_back();
-    keep[h] = true;
-    const auto it = vertices_.find(h);
-    if (it == vertices_.end()) continue;
-    for (const crypto::Digest& child : it->second.children) stack.push_back(child);
-  }
-
-  for (auto it = vertices_.begin(); it != vertices_.end();) {
-    const Vertex& v = it->second;
-    if (v.committed || keep.count(it->first) > 0) {
-      ++it;
-      continue;
+  const types::Height tip = committed_tip_->height();
+  for (types::Height h = pruned_height_; h < tip; ++h) {
+    const auto it = vertices_.find(committed_hashes_[h]);
+    if (it != vertices_.end() && it->second.committed) {
+      drop_forks_of(it->second, dropped);
     }
-    dropped.push_back(v.block);
-    qcs_.erase(it->first);
-    it = vertices_.erase(it);
   }
+  pruned_height_ = tip;
+  for (const crypto::Digest& root : side_roots_) {
+    const auto it = vertices_.find(root);
+    if (it == vertices_.end() || it->second.committed) continue;
+    const auto parent = vertices_.find(it->second.block->parent_hash());
+    if (parent != vertices_.end()) {
+      drop_forks_of(parent->second, dropped);
+    } else {
+      drop_subtree(root, dropped);
+    }
+  }
+  side_roots_.clear();
+  drop_stale_orphans();
 
-  // Remove dangling child links and stale orphans below the committed tip.
-  for (auto& [hash, vertex] : vertices_) {
-    auto& ch = vertex.children;
-    ch.erase(std::remove_if(ch.begin(), ch.end(),
-                            [this](const crypto::Digest& c) {
-                              return vertices_.count(c) == 0;
-                            }),
-             ch.end());
-  }
-  for (auto it = orphans_.begin(); it != orphans_.end();) {
-    auto& bucket = it->second;
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                                [this](const BlockPtr& b) {
-                                  return b->height() <=
-                                         committed_tip_->height();
-                                }),
-                 bucket.end());
-    it = bucket.empty() ? orphans_.erase(it) : std::next(it);
-  }
-
-  // The longest certified tip may have been on a dropped branch.
+  // The longest certified tip may have been on a dropped branch. Every
+  // survivor below the tip is committed, so none can outrank the tip; only
+  // its descendants are candidates.
   if (!longest_certified_ ||
       vertices_.count(longest_certified_->hash()) == 0) {
     longest_certified_ = committed_tip_;
-    for (const auto& [hash, vertex] : vertices_) {
-      if (qcs_.count(hash) == 0) continue;
-      const BlockPtr& b = vertex.block;
-      if (b->height() > longest_certified_->height() ||
-          (b->height() == longest_certified_->height() &&
-           b->view() > longest_certified_->view())) {
-        longest_certified_ = b;
-      }
+    std::vector<crypto::Digest> stack{committed_tip_->hash()};
+    while (!stack.empty()) {
+      const auto it = vertices_.find(stack.back());
+      stack.pop_back();
+      if (it == vertices_.end()) continue;
+      if (qcs_.count(it->first) > 0) offer_certified(it->second.block);
+      stack.insert(stack.end(), it->second.children.begin(),
+                   it->second.children.end());
     }
   }
   return dropped;
 }
 
+void BlockForest::drop_forks_of(Vertex& v, std::vector<BlockPtr>& dropped) {
+  std::erase_if(v.children, [&](const crypto::Digest& child) {
+    const auto it = vertices_.find(child);
+    if (it == vertices_.end()) return true;
+    if (it->second.committed) return false;
+    drop_subtree(child, dropped);
+    return true;
+  });
+}
+
+void BlockForest::drop_subtree(const crypto::Digest& root,
+                               std::vector<BlockPtr>& dropped) {
+  std::vector<crypto::Digest> stack{root};
+  while (!stack.empty()) {
+    const auto it = vertices_.find(stack.back());
+    stack.pop_back();
+    if (it == vertices_.end() || it->second.committed) continue;
+    dropped.push_back(std::move(it->second.block));
+    stack.insert(stack.end(), it->second.children.begin(),
+                 it->second.children.end());
+    qcs_.erase(it->first);
+    vertices_.erase(it);
+  }
+}
+
+void BlockForest::drop_stale_orphans() {
+  const types::Height tip = committed_tip_->height();
+  for (auto level = orphan_heights_.begin();
+       level != orphan_heights_.end() && level->first <= tip;
+       level = orphan_heights_.erase(level)) {
+    for (const crypto::Digest& hash : level->second) {
+      const auto it = orphan_index_.find(hash);
+      if (it == orphan_index_.end()) continue;  // connected since
+      const auto bucket = orphans_.find(it->second->parent_hash());
+      std::erase_if(bucket->second,
+                    [&](const BlockPtr& b) { return b->hash() == hash; });
+      if (bucket->second.empty()) orphans_.erase(bucket);
+      orphan_index_.erase(it);
+    }
+  }
+}
+
 std::size_t BlockForest::prune_below(types::Height horizon) {
   if (horizon > committed_tip_->height()) horizon = committed_tip_->height();
+  // No survivor has a child below the horizon (a committed block's parent
+  // is committed, and is dropped with it), so no child list needs editing.
   std::size_t dropped = 0;
-  for (auto it = vertices_.begin(); it != vertices_.end();) {
-    const Vertex& v = it->second;
-    if (!v.committed || v.block->height() >= horizon) {
-      ++it;
-      continue;
+  for (types::Height h = retained_from_; h < horizon; ++h) {
+    const auto it = vertices_.find(committed_hashes_[h]);
+    if (it == vertices_.end() || !it->second.committed) continue;
+    // Forks prune() has not collected yet lose their parent here.
+    for (const crypto::Digest& child : it->second.children) {
+      const auto c = vertices_.find(child);
+      if (c != vertices_.end() && !c->second.committed) {
+        side_roots_.push_back(child);
+      }
     }
     qcs_.erase(it->first);
-    it = vertices_.erase(it);
+    vertices_.erase(it);
     ++dropped;
   }
+  retained_from_ = std::max(retained_from_, horizon);
   if (dropped == 0) return 0;
-  for (auto& [hash, vertex] : vertices_) {
-    auto& ch = vertex.children;
-    ch.erase(std::remove_if(ch.begin(), ch.end(),
-                            [this](const crypto::Digest& c) {
-                              return vertices_.count(c) == 0;
-                            }),
-             ch.end());
-  }
   // The certified-tip cache cannot point below the committed tip once
   // anything was dropped below it; refresh defensively anyway.
   if (!longest_certified_ ||
@@ -310,10 +341,14 @@ bool BlockForest::install_snapshot(const BlockPtr& anchor,
   if (!inserted) it->second.committed = true;
   // Mark any locally present blocks on the snapshot chain committed (the
   // gap region is absent by definition, but blocks near our old tip may
-  // overlap the chain).
-  for (const crypto::Digest& h : committed_hashes_) {
-    const auto vit = vertices_.find(h);
-    if (vit != vertices_.end()) vit->second.committed = true;
+  // overlap the chain). A block marked below a height the pruning walks
+  // have passed moves them back, so they visit it on their next call.
+  for (types::Height h = 0; h < committed_hashes_.size(); ++h) {
+    const auto vit = vertices_.find(committed_hashes_[h]);
+    if (vit == vertices_.end() || vit->second.committed) continue;
+    vit->second.committed = true;
+    pruned_height_ = std::min(pruned_height_, h);
+    retained_from_ = std::min(retained_from_, h);
   }
   committed_tip_ = anchor;
   add_qc(anchor_qc);
@@ -341,22 +376,12 @@ std::vector<crypto::Digest> BlockForest::missing_parents() const {
 }
 
 bool BlockForest::buffered(const crypto::Digest& hash) const {
-  return buffered_get(hash) != nullptr;
+  return orphan_index_.count(hash) > 0;
 }
 
 types::BlockPtr BlockForest::buffered_get(const crypto::Digest& hash) const {
-  for (const auto& [parent_hash, bucket] : orphans_) {
-    for (const BlockPtr& b : bucket) {
-      if (b->hash() == hash) return b;
-    }
-  }
-  return nullptr;
-}
-
-std::size_t BlockForest::orphan_count() const {
-  std::size_t n = 0;
-  for (const auto& [parent_hash, bucket] : orphans_) n += bucket.size();
-  return n;
+  const auto it = orphan_index_.find(hash);
+  return it == orphan_index_.end() ? nullptr : it->second;
 }
 
 }  // namespace bamboo::forest

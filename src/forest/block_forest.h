@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -26,6 +27,11 @@ enum class AddResult {
 ///  * committed blocks form a single chain from genesis (the main chain);
 ///  * after prune(), every stored block is the committed tip, one of its
 ///    ancestors on the main chain, or a descendant of the committed tip.
+///
+/// Pruning is incremental: prune() walks only the main-chain segment
+/// committed since its last call, plus the late forks ("side roots")
+/// that connected below the tip since then, so a commit costs
+/// O(newly committed blocks + dropped blocks), not O(forest).
 class BlockForest {
  public:
   BlockForest();
@@ -89,7 +95,9 @@ class BlockForest {
 
   /// Drop every block that is not on the main chain and not a descendant of
   /// the committed tip. Returns the dropped blocks (the forked-out blocks
-  /// whose transactions the replica recycles into its mempool).
+  /// whose transactions the replica recycles into its mempool) in a
+  /// deterministic order: main chain upwards, each forked subtree
+  /// depth-first, then the late side roots in arrival order.
   std::vector<types::BlockPtr> prune();
 
   /// Retention pruning (durable ledger): drop committed vertices strictly
@@ -127,7 +135,9 @@ class BlockForest {
   [[nodiscard]] types::BlockPtr buffered_get(const crypto::Digest& hash) const;
 
   [[nodiscard]] std::size_t size() const { return vertices_.size(); }
-  [[nodiscard]] std::size_t orphan_count() const;
+  [[nodiscard]] std::size_t orphan_count() const {
+    return orphan_index_.size();
+  }
 
  private:
   struct Vertex {
@@ -138,10 +148,32 @@ class BlockForest {
 
   void connect(types::BlockPtr block);
   void flush_orphans_of(const crypto::Digest& parent_hash);
+  /// Drop every uncommitted child subtree of `v` and unlink it.
+  void drop_forks_of(Vertex& v, std::vector<types::BlockPtr>& dropped);
+  /// Drop `root` and its descendants (committed vertices are kept).
+  void drop_subtree(const crypto::Digest& root,
+                    std::vector<types::BlockPtr>& dropped);
+  void drop_stale_orphans();
+  /// Candidate for longest_certified_ (a block that just became certified
+  /// and connected).
+  void offer_certified(const types::BlockPtr& block);
 
   std::unordered_map<crypto::Digest, Vertex> vertices_;
   std::unordered_map<crypto::Digest, types::QuorumCert> qcs_;
+  // Orphans, bucketed by the missing parent (connect order), indexed by
+  // their own hash, and by height for the stale-orphan sweep. The height
+  // index is lazy: entries of orphans that connected since are skipped.
   std::unordered_map<crypto::Digest, std::vector<types::BlockPtr>> orphans_;
+  std::unordered_map<crypto::Digest, types::BlockPtr> orphan_index_;
+  std::map<types::Height, std::vector<crypto::Digest>> orphan_heights_;
+  // Uncommitted blocks that hang off a committed block below the tip —
+  // late forks, or children of blocks prune_below() dropped. The chain
+  // walk of prune() cannot reach them, so prune() drops them from here.
+  std::vector<crypto::Digest> side_roots_;
+  // prune() has dropped the forks of main-chain blocks below this height.
+  types::Height pruned_height_ = 0;
+  // prune_below() has dropped the committed blocks below this height.
+  types::Height retained_from_ = 0;
   types::QuorumCert high_qc_;
   types::BlockPtr committed_tip_;
   std::vector<crypto::Digest> committed_hashes_;  // indexed by height

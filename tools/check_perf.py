@@ -3,8 +3,11 @@
 
 Every PR commits one BENCH_<n>.json at the repo root (emitted by
 `bench_perf --label BENCH_<n> --out BENCH_<n>.json`). This script compares
-a candidate run against the highest-numbered committed BENCH_*.json and
-fails on large regressions, so simulator speed can only ratchet forward.
+a candidate run against the highest-numbered committed BENCH_*.json and,
+metric by metric, against the best value anywhere on the committed
+trajectory. It fails on large regressions from either, so simulator speed
+can only ratchet forward: a slow drift that stays inside the tolerance
+from one BENCH to the next still trips the best-so-far gate.
 
 Machines differ, so raw rates are not compared directly: every metric is
 first divided by the run's own `calibration` metric (a fixed
@@ -16,7 +19,9 @@ noise, tight enough to catch a lost optimization).
 Modes:
   check_perf.py --candidate NEW.json [--reference OLD.json] [--tolerance F]
       Gate NEW against OLD (default: latest BENCH_*.json in the repo root
-      that is not the candidate itself). Exit 1 on regression.
+      that is not the candidate itself, plus the best normalized value of
+      each metric over every committed BENCH_*.json). An explicit
+      --reference gates against that one file only. Exit 1 on regression.
   check_perf.py --validate FILE.json
       Schema-validate one emitted file (the smoke_bench_perf ctest uses
       this so the emitter itself cannot rot). Exit 1 on malformed output.
@@ -77,16 +82,53 @@ def metric_map(doc):
     return {m["name"]: float(m["value"]) for m in doc["metrics"]}
 
 
-def latest_reference(root, exclude):
+def trajectory(root, exclude):
+    """Committed BENCH_<n>.json paths in ascending n, minus `exclude`."""
     exclude = os.path.abspath(exclude)
-    best, best_n = None, -1
+    numbered = []
     for path in glob.glob(os.path.join(root, "BENCH_*.json")):
         if os.path.abspath(path) == exclude:
             continue
         m = BENCH_NAME_RE.search(os.path.basename(path))
-        if m and int(m.group(1)) > best_n:
-            best, best_n = path, int(m.group(1))
+        if m:
+            numbered.append((int(m.group(1)), path))
+    return [path for _, path in sorted(numbered)]
+
+
+def best_normalized(paths):
+    """{metric: (best calibration-normalized value, path it came from)}."""
+    best = {}
+    for path in paths:
+        values = metric_map(load(path))
+        cal = values[CALIBRATION]
+        for name, value in values.items():
+            if name == CALIBRATION:
+                continue
+            norm = value / cal
+            if name not in best or norm > best[name][0]:
+                best[name] = (norm, path)
     return best
+
+
+def compare_best(candidate, best, tolerance):
+    """Gate each candidate metric against its best point on the trajectory.
+    Metrics the candidate no longer emits are left to compare()."""
+    cand = metric_map(candidate)
+    cal_c = cand[CALIBRATION]
+    regressions = []
+    print("best so far on the trajectory:")
+    for name in sorted(set(best) & set(cand)):
+        best_norm, path = best[name]
+        ratio = (cand[name] / cal_c) / best_norm
+        status = "ok"
+        if ratio < 1.0 - tolerance:
+            status = "REGRESSION"
+            regressions.append(
+                f"{name}: normalized ratio {ratio:.3f} to the best "
+                f"({os.path.basename(path)}) < {1.0 - tolerance:.3f}")
+        print(f"  {name}: best {os.path.basename(path)} "
+              f"(normalized x{ratio:.3f}) {status}")
+    return regressions
 
 
 def compare(candidate, reference, tolerance):
@@ -145,8 +187,9 @@ def main():
     if not args.candidate:
         ap.error("--candidate is required unless --validate is used")
     candidate = load(args.candidate)
-    ref_path = args.reference or latest_reference(
+    committed = [] if args.reference else trajectory(
         os.path.abspath(args.root), args.candidate)
+    ref_path = args.reference or (committed[-1] if committed else None)
     if ref_path is None:
         print("no reference BENCH_*.json found: nothing to gate against "
               "(first tracked PR)")
@@ -154,6 +197,9 @@ def main():
     print(f"reference: {ref_path}")
     reference = load(ref_path)
     regressions = compare(candidate, reference, args.tolerance)
+    if committed:
+        regressions += compare_best(candidate, best_normalized(committed),
+                                    args.tolerance)
     if regressions:
         print(f"\n{len(regressions)} perf regression(s):", file=sys.stderr)
         for r in regressions:
