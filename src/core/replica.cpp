@@ -12,8 +12,9 @@ using types::NodeId;
 using types::View;
 
 Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
-                 const crypto::KeyStore& keys, const Config& config,
-                 NodeId id, std::unique_ptr<SafetyProtocol> safety,
+                 const crypto::KeyStore& keys, quorum::CertVerifier& verifier,
+                 const Config& config, NodeId id,
+                 std::unique_ptr<SafetyProtocol> safety,
                  const election::LeaderElection& election, Hooks hooks)
     : sim_(simulator),
       net_(network),
@@ -28,7 +29,7 @@ Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
       mempool_(config.memsize, mempool::parse_admission(config.admission)),
       votes_(config.n_replicas),
       timeouts_(config.n_replicas),
-      cert_verifier_(keys, config.n_replicas),
+      cert_verifier_(verifier),
       pacemaker_(
           simulator,
           pacemaker::Pacemaker::Settings{config.timeout,
@@ -239,19 +240,7 @@ sim::Duration Replica::cost_of(const types::Message& msg) {
 
 bool Replica::verify_qc(const types::QuorumCert& qc) {
   if (qc.is_genesis()) return true;  // valid by convention (check_qc agrees)
-  // Memo: a byte-identical certificate that already passed needs no second
-  // HMAC pass. Certificates are formed once and then echoed broadly
-  // (Streamlet echoes, timeout storms attaching the same high-QC, sync
-  // responses), so repeats dominate in exactly the runs that are slowest.
-  // Only full equality hits — a forged look-alike never matches — and only
-  // successes are memoized, so verdicts and counters are unchanged.
-  std::vector<types::QuorumCert>& seen = verified_qcs_[qc.view];
-  if (std::find(seen.begin(), seen.end(), qc) != seen.end()) {
-    ++stats_.certs_verified;
-    return true;
-  }
   if (cert_verifier_.check_qc(qc) == quorum::CertCheck::kOk) {
-    seen.push_back(qc);
     ++stats_.certs_verified;
     return true;
   }
@@ -260,13 +249,7 @@ bool Replica::verify_qc(const types::QuorumCert& qc) {
 }
 
 bool Replica::verify_tc(const types::TimeoutCert& tc) {
-  std::vector<types::TimeoutCert>& seen = verified_tcs_[tc.view];
-  if (std::find(seen.begin(), seen.end(), tc) != seen.end()) {
-    ++stats_.certs_verified;
-    return true;
-  }
   if (cert_verifier_.check_tc(tc) == quorum::CertCheck::kOk) {
-    seen.push_back(tc);
     ++stats_.certs_verified;
     return true;
   }
@@ -729,10 +712,6 @@ void Replica::enter_view(View view, pacemaker::AdvanceReason reason) {
                      charged_qcs_.lower_bound(gc_horizon));
   charged_tcs_.erase(charged_tcs_.begin(),
                      charged_tcs_.lower_bound(gc_horizon));
-  verified_qcs_.erase(verified_qcs_.begin(),
-                      verified_qcs_.lower_bound(gc_horizon));
-  verified_tcs_.erase(verified_tcs_.begin(),
-                      verified_tcs_.lower_bound(gc_horizon));
   if (!pending_proposals_.empty()) {
     for (auto it = pending_proposals_.begin();
          it != pending_proposals_.end();) {

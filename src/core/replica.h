@@ -76,9 +76,12 @@ class Replica {
     std::function<void(types::View)> on_enter_view;
   };
 
+  /// `verifier` is the cluster's shared certificate verifier (it must
+  /// outlive the replica and check against the same `keys`).
   Replica(sim::Simulator& simulator, net::SimNetwork& network,
-          const crypto::KeyStore& keys, const Config& config,
-          types::NodeId id, std::unique_ptr<SafetyProtocol> safety,
+          const crypto::KeyStore& keys, quorum::CertVerifier& verifier,
+          const Config& config, types::NodeId id,
+          std::unique_ptr<SafetyProtocol> safety,
           const election::LeaderElection& election, Hooks hooks = {});
 
   Replica(const Replica&) = delete;
@@ -217,7 +220,7 @@ class Replica {
   mempool::Mempool mempool_;
   quorum::VoteAggregator votes_;
   quorum::TimeoutAggregator timeouts_;
-  quorum::CertVerifier cert_verifier_;
+  quorum::CertVerifier& cert_verifier_;  ///< owned by the Cluster
   pacemaker::Pacemaker pacemaker_;
   sync::Syncer syncer_;
 
@@ -230,10 +233,6 @@ class Replica {
   // view for GC along the same 64-view horizon as the aggregators.
   std::map<types::View, std::unordered_set<crypto::Digest>> charged_qcs_;
   std::set<types::View> charged_tcs_;
-  // Certificates that already passed full verification (byte-identical
-  // matches skip the repeat HMAC pass; see verify_qc), same GC horizon.
-  std::map<types::View, std::vector<types::QuorumCert>> verified_qcs_;
-  std::map<types::View, std::vector<types::TimeoutCert>> verified_tcs_;
 
   // consensus bookkeeping
   types::View last_proposed_view_ = 0;

@@ -97,6 +97,7 @@ Cluster::Cluster(core::Config config)
     : cfg_(apply_protocol_profile(std::move(config))),
       sim_(cfg_.seed),
       keys_(cfg_.seed ^ 0x9e3779b97f4a7c15ULL, cfg_.num_endpoints()),
+      verifier_(keys_, cfg_.n_replicas),
       net_(sim_, cfg_.num_endpoints(), net_config_of(cfg_)),
       election_(election::make_election(cfg_.election, cfg_.n_replicas,
                                         cfg_.seed)),
@@ -182,8 +183,8 @@ std::unique_ptr<core::Replica> Cluster::build_replica(types::NodeId id) {
     };
   }
   auto replica = std::make_unique<core::Replica>(
-      sim_, net_, keys_, cfg_, id, protocols::make_protocol(cfg_.protocol),
-      *election_, std::move(hooks));
+      sim_, net_, keys_, verifier_, cfg_, id,
+      protocols::make_protocol(cfg_.protocol), *election_, std::move(hooks));
   replica->set_store(stores_.at(id).get());
   return replica;
 }

@@ -10,6 +10,7 @@
 #include "crypto/signer.h"
 #include "election/leader_election.h"
 #include "net/network.h"
+#include "quorum/cert_verifier.h"
 #include "sim/simulator.h"
 #include "storage/block_store.h"
 
@@ -119,6 +120,9 @@ class Cluster {
   core::Config cfg_;
   sim::Simulator sim_;
   crypto::KeyStore keys_;
+  /// Shared by every replica: one memo of verified certificates per
+  /// cluster (quorum/cert_verifier.h).
+  quorum::CertVerifier verifier_;
   net::SimNetwork net_;
   std::unique_ptr<election::LeaderElection> election_;
   std::vector<core::Replica::Hooks> pending_hooks_;

@@ -52,9 +52,9 @@
 //   (snapshot_chunk payload bytes each), the final chunk carrying the
 //   anchor block — its committed tip — and the QC certifying it. The
 //   receiver recomputes the state root over the reassembled chain,
-//   validates the anchor certificate through the replica's
-//   quorum::CertVerifier hook, and only then installs the snapshot and
-//   resumes chain-sync from the anchor. A tampered chunk, root, or
+//   validates the anchor certificate through the verify_qc hook (the
+//   cluster's quorum::CertVerifier), and only then installs the snapshot
+//   and resumes chain-sync from the anchor. A tampered chunk, root, or
 //   anchor rejects the whole snapshot and rotates to the next peer,
 //   bounded by the same retry budget as chain fetches.
 //
@@ -125,8 +125,9 @@ class Syncer {
     /// the forest's verdict; kInvalid aborts the rest of the response.
     std::function<forest::AddResult(const types::BlockPtr&, types::NodeId)>
         apply_block;
-    /// Verify a snapshot anchor certificate through the replica's
-    /// quorum::CertVerifier (counted in certs_verified/rejected there).
+    /// Verify a snapshot anchor certificate: the replica checks it with
+    /// the cluster's shared quorum::CertVerifier and counts the verdict in
+    /// its certs_verified/rejected.
     /// Unset = accept (unit rigs without a verifier).
     std::function<bool(const types::QuorumCert&)> verify_qc;
     /// Install a validated snapshot (forest::BlockForest::install_snapshot

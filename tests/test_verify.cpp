@@ -1,12 +1,15 @@
 // Tests for the certificate-verification pipeline: CertVerifier structural
-// and HMAC checks on hand-crafted QCs/TCs, the forge-qc Byzantine strategy
-// end-to-end (forged certificates must be rejected and counted, never
-// committed), strategy cost-model sanity, and determinism of the simulated
-// multi-worker verify pool.
+// and HMAC checks on hand-crafted QCs/TCs, equivalence of its memo of
+// verified certificates with memo-free checking, the forge-qc Byzantine
+// strategy end-to-end (forged certificates must be rejected and counted,
+// never committed), strategy cost-model sanity, and determinism of the
+// simulated multi-worker verify pool.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "client/workload.h"
 #include "crypto/sha256.h"
@@ -14,6 +17,7 @@
 #include "harness/experiment.h"
 #include "quorum/cert_verifier.h"
 #include "types/certificates.h"
+#include "util/rng.h"
 
 namespace bamboo {
 namespace {
@@ -157,6 +161,206 @@ TEST_F(CertVerifierTest, TcBadEmbeddedHighQcRejected) {
   bad_qc.sigs[2].tag = crypto::Sha256::hash("junk");
   const auto tc = signed_tc(keys, 5, {1, 3, 0}, bad_qc);
   EXPECT_EQ(verifier.check_tc(tc), CertCheck::kBadSignature);
+}
+
+// ---------------------------------------------------------------------------
+// The memo of verified certificates: a long-lived verifier must give the
+// verdict a fresh (memo-free) one gives, on every certificate
+// ---------------------------------------------------------------------------
+
+/// Draws a seeded mix of valid, repeated, tampered and forged certificates.
+class CertMix {
+ public:
+  CertMix(const crypto::KeyStore& keys, std::uint64_t seed)
+      : keys_(keys), rng_(seed) {}
+
+  /// One certificate; exactly one of the two is meaningful (`is_tc`).
+  struct Draw {
+    bool is_tc = false;
+    types::QuorumCert qc;
+    types::TimeoutCert tc;
+  };
+
+  Draw next() {
+    view_ += rng_.uniform_u64(3);  // views advance past the memo window
+    Draw d;
+    switch (rng_.uniform_u64(10)) {
+      case 0:
+      case 1: d.qc = valid_qc(view_); break;
+      case 2: d.is_tc = true; d.tc = valid_tc(view_); break;
+      case 3:  // repeat of anything drawn before, however old
+        if (!history_.empty()) {
+          d = history_[rng_.uniform_u64(history_.size())];
+        } else {
+          d.qc = valid_qc(view_);
+        }
+        break;
+      case 4: {  // one-tag-flipped look-alike of an earlier certificate
+        d = history_.empty() ? Draw{false, valid_qc(view_), {}}
+                             : history_[rng_.uniform_u64(history_.size())];
+        flip_one_tag(d);
+        break;
+      }
+      case 5: {  // two signers' ids swapped: both tags now mismatch
+        d.qc = valid_qc(view_);
+        std::swap(d.qc.sigs[0].signer, d.qc.sigs[1].signer);
+        break;
+      }
+      case 6: {  // duplicate, out-of-range or too few signers
+        d.qc = valid_qc(view_);
+        const std::uint64_t kind = rng_.uniform_u64(3);
+        if (kind == 0) d.qc.sigs[1] = d.qc.sigs[0];
+        if (kind == 1) d.qc.sigs[2].signer = kN + 1 + rng_.uniform_u64(5);
+        if (kind == 2) d.qc.sigs.resize(types::quorum_size(kN) - 1);
+        break;
+      }
+      case 7:  // height is not signed: a tampered copy still verifies
+        d.qc = valid_qc(view_);
+        d.qc.height += 1 + rng_.uniform_u64(100);
+        break;
+      case 8: {  // forgery claiming a far-future view
+        d.qc = valid_qc(view_);
+        d.qc.view = 1'000'000'000'000ULL + rng_.uniform_u64(1'000'000);
+        if (rng_.uniform_u64(2) == 0) {
+          d.is_tc = true;
+          d.tc = valid_tc(view_);
+          d.tc.view = d.qc.view;
+        }
+        break;
+      }
+      default: {  // a TC whose embedded high_qc carries one bad tag
+        d.is_tc = true;
+        d.tc = valid_tc(view_);
+        if (!d.tc.high_qc.sigs.empty()) d.tc.high_qc.sigs.back().tag[0] ^= 1;
+        break;
+      }
+    }
+    history_.push_back(d);
+    return d;
+  }
+
+ private:
+  /// A QC over a random quorum-or-larger signer subset in random order, so
+  /// equal (view, hash) pairs can still differ in their bytes.
+  types::QuorumCert valid_qc(types::View view) {
+    types::QuorumCert qc;
+    qc.view = view;
+    qc.height = view;
+    qc.block_hash = crypto::Sha256::hash(
+        "block" + std::to_string(view) + "/" +
+        std::to_string(rng_.uniform_u64(2)));
+    const crypto::Digest digest = types::vote_digest(view, qc.block_hash);
+    std::vector<std::uint32_t> ids(kN);
+    for (std::uint32_t i = 0; i < kN; ++i) ids[i] = i;
+    for (std::uint32_t i = kN - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng_.uniform_u64(i + 1)]);
+    }
+    ids.resize(types::quorum_size(kN) + rng_.uniform_u64(2));
+    for (const std::uint32_t id : ids) {
+      qc.sigs.push_back(keys_.sign(id, digest));
+    }
+    return qc;
+  }
+
+  types::TimeoutCert valid_tc(types::View view) {
+    const types::View high = view > 1 ? view - 1 - rng_.uniform_u64(2) : 0;
+    std::vector<types::View> reported{high, high > 0 ? high - 1 : 0, 0};
+    return signed_tc(keys_, view + 1, std::move(reported),
+                     high == 0 ? types::QuorumCert{} : valid_qc(high));
+  }
+
+  void flip_one_tag(Draw& d) {
+    std::vector<crypto::Signature>& sigs = d.is_tc ? d.tc.sigs : d.qc.sigs;
+    if (sigs.empty()) return;
+    sigs[rng_.uniform_u64(sigs.size())].tag[rng_.uniform_u64(32)] ^=
+        static_cast<std::uint8_t>(1 + rng_.uniform_u64(255));
+  }
+
+  const crypto::KeyStore& keys_;
+  util::Rng rng_;
+  types::View view_ = 1;
+  std::vector<Draw> history_;
+};
+
+TEST(CertVerifierMemo, MatchesMemoFreeVerdictOnEveryCertificate) {
+  const crypto::KeyStore keys(42, kN);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    CertVerifier memo(keys, kN);
+    CertMix mix(keys, seed);
+    std::uint32_t accepted = 0;
+    std::uint32_t rejected = 0;
+    for (int i = 0; i < 600; ++i) {
+      const CertMix::Draw d = mix.next();
+      CertVerifier fresh(keys, kN);
+      const CertCheck want =
+          d.is_tc ? fresh.check_tc(d.tc) : fresh.check_qc(d.qc);
+      const CertCheck got =
+          d.is_tc ? memo.check_tc(d.tc) : memo.check_qc(d.qc);
+      ASSERT_EQ(got, want) << "seed " << seed << " draw " << i << ": "
+                           << check_name(got) << " vs " << check_name(want);
+      ++(want == CertCheck::kOk ? accepted : rejected);
+    }
+    // The mix must exercise both verdicts and leave a non-empty memo.
+    EXPECT_GT(accepted, 100u) << seed;
+    EXPECT_GT(rejected, 100u) << seed;
+    EXPECT_GT(memo.memo_size(), 0u) << seed;
+  }
+}
+
+TEST_F(CertVerifierTest, RejectionIsNotMemoized) {
+  // A forged look-alike fails first; its genuine twin must still pass.
+  const auto qc = signed_qc(keys, 3, h);
+  auto forged = qc;
+  forged.sigs[2].tag[5] ^= 0x40;
+  EXPECT_EQ(verifier.check_qc(forged), CertCheck::kBadSignature);
+  EXPECT_EQ(verifier.check_qc(qc), CertCheck::kOk);
+  EXPECT_EQ(verifier.check_qc(forged), CertCheck::kBadSignature);
+  const auto tc = signed_tc(keys, 5, {1, 3, 0}, qc);
+  auto forged_tc = tc;
+  forged_tc.sigs[0].tag[0] ^= 1;
+  EXPECT_EQ(verifier.check_tc(forged_tc), CertCheck::kBadSignature);
+  EXPECT_EQ(verifier.check_tc(tc), CertCheck::kOk);
+}
+
+TEST_F(CertVerifierTest, MemoIsPerKeyStore) {
+  // A certificate accepted under one cluster's keys is checked afresh by a
+  // verifier on another cluster's keys: there is no global memo.
+  const auto qc = signed_qc(keys, 3, h);
+  EXPECT_EQ(verifier.check_qc(qc), CertCheck::kOk);
+  const crypto::KeyStore other_keys{43, kN};
+  CertVerifier other(other_keys, kN);
+  EXPECT_EQ(other.check_qc(qc), CertCheck::kBadSignature);
+}
+
+TEST_F(CertVerifierTest, FarFutureForgeryDoesNotFlushMemo) {
+  EXPECT_EQ(verifier.check_qc(signed_qc(keys, 10, h)), CertCheck::kOk);
+  ASSERT_EQ(verifier.memo_size(), 1u);
+  auto forged = signed_qc(keys, 10, h);
+  forged.view = 1'000'000'000'000ULL;
+  EXPECT_EQ(verifier.check_qc(forged), CertCheck::kBadSignature);
+  EXPECT_EQ(verifier.memo_size(), 1u);
+}
+
+TEST_F(CertVerifierTest, MemoStaysWithinViewWindow) {
+  // One QC and one TC per view over 10 000 views: the memo never holds
+  // more than the window's worth of views.
+  constexpr std::size_t kBound = 2 * (CertVerifier::kMemoWindow + 1);
+  types::QuorumCert prev = signed_qc(keys, 1, h);
+  EXPECT_EQ(verifier.check_qc(prev), CertCheck::kOk);
+  for (types::View v = 2; v <= 10'000; ++v) {
+    const auto qc = signed_qc(keys, v, h);
+    ASSERT_EQ(verifier.check_qc(qc), CertCheck::kOk) << v;
+    const auto tc = signed_tc(keys, v, {prev.view, 0, 0}, prev);
+    ASSERT_EQ(verifier.check_tc(tc), CertCheck::kOk) << v;
+    ASSERT_LE(verifier.memo_size(), kBound) << v;
+    prev = qc;
+  }
+  EXPECT_GT(verifier.memo_size(), CertVerifier::kMemoWindow);
+  // A certificate from below the window is still verified in full.
+  EXPECT_EQ(verifier.check_qc(signed_qc(keys, 5, h)), CertCheck::kOk);
+  auto stale_forgery = signed_qc(keys, 5, h);
+  stale_forgery.sigs[0].tag[0] ^= 1;
+  EXPECT_EQ(verifier.check_qc(stale_forgery), CertCheck::kBadSignature);
 }
 
 // ---------------------------------------------------------------------------
