@@ -4,7 +4,7 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/quickstart [protocol] [topology] [link_model] [churn-dsl] \
+//   ./build/quickstart [protocol] [topology] [link_model] [churn-dsl]
 //                      [workload] [mempool] [store]
 // where protocol is one of: hotstuff (default), 2chs, streamlet,
 // fasthotstuff; topology is a WAN scenario spec (e.g. "wan:3:40",
@@ -19,8 +19,7 @@
 //   ./build/quickstart hotstuff wan:3:40 pareto
 //   ./build/quickstart hotstuff uniform normal 'partition@0.5s:...;heal@0.8s'
 //   ./build/quickstart hotstuff uniform normal '' open:120000 2000:backoff:5
-//   ./build/quickstart hotstuff uniform normal \
-//       'crash-restart@0.5s:replica=2:for=0.2s' '' '' file
+//   ./build/quickstart hotstuff uniform normal 'crash-restart@0.5s:replica=2:for=0.2s' '' '' file
 
 #include <cstdlib>
 #include <iostream>

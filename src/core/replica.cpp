@@ -101,7 +101,7 @@ ProtocolContext Replica::context() {
 // CPU queue
 // --------------------------------------------------------------------------
 
-void Replica::enqueue_cpu(sim::Duration cost, std::function<void()> fn) {
+void Replica::enqueue_cpu(sim::Duration cost, CpuFn fn) {
   if (crashed_) return;
   cpu_queue_.push_back(CpuWork{cost, std::move(fn)});
   cpu_dispatch();
@@ -116,16 +116,34 @@ void Replica::cpu_dispatch() {
   while (!crashed_ && !cpu_queue_.empty() &&
          cpu_busy_workers_ < cfg_.cpu_workers) {
     ++cpu_busy_workers_;
-    CpuWork work = std::move(cpu_queue_.front());
-    cpu_queue_.pop_front();
+    CpuWork& work = cpu_queue_.front();
     stats_.cpu_busy += work.cost;
-    sim_.schedule_after(work.cost, [this, fn = std::move(work.fn)] {
-      if (crashed_) return;  // crash() already drained the queue
-      fn();
-      --cpu_busy_workers_;
-      cpu_dispatch();
-    });
+    std::uint32_t slot = 0;
+    if (cpu_free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(cpu_running_.size());
+      cpu_running_.emplace_back();
+    } else {
+      slot = cpu_free_slots_.back();
+      cpu_free_slots_.pop_back();
+    }
+    cpu_running_[slot] = std::move(work.fn);
+    sim_.schedule_after(work.cost, [this, slot] { cpu_complete(slot); });
+    cpu_queue_.pop_front();
   }
+}
+
+void Replica::cpu_complete(std::uint32_t slot) {
+  if (crashed_) {  // crash() already drained the queue
+    --cpu_busy_workers_;
+    return;
+  }
+  // Move the work out first: it may enqueue more, which can reuse the slot
+  // or grow cpu_running_.
+  CpuFn fn = std::move(cpu_running_[slot]);
+  cpu_free_slots_.push_back(slot);
+  fn();
+  --cpu_busy_workers_;
+  cpu_dispatch();
 }
 
 sim::Duration Replica::cert_cost(std::size_t k) const {
@@ -275,7 +293,10 @@ void Replica::handle_envelope(const net::Envelope& env) {
     return;
   }
 
-  enqueue_cpu(cost_of(*env.msg), [this, env] { dispatch(env); });
+  auto deliver = [this, env] { dispatch(env); };
+  static_assert(CpuFn::stores_inline<decltype(deliver)>(),
+                "the per-message CPU work must not allocate");
+  enqueue_cpu(cost_of(*env.msg), std::move(deliver));
 }
 
 void Replica::dispatch(const net::Envelope& env) {
@@ -732,7 +753,9 @@ void Replica::try_propose(View view, pacemaker::AdvanceReason reason) {
       cfg_.propose_wait_after_vc > 0) {
     // Non-responsive mode: wait Δ after a view change so that slow honest
     // replicas' high QCs reach us (paper §II-C; §VI-D "t100").
+    ++deferred_proposals_;
     sim_.schedule_after(cfg_.propose_wait_after_vc, [this, view] {
+      --deferred_proposals_;
       if (!crashed_ && pacemaker_.current_view() == view &&
           view > last_proposed_view_) {
         do_propose(view);

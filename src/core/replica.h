@@ -9,6 +9,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/config.h"
 #include "core/safety.h"
@@ -20,6 +21,7 @@
 #include "pacemaker/pacemaker.h"
 #include "quorum/cert_verifier.h"
 #include "quorum/vote_aggregator.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 #include "storage/block_store.h"
 #include "sync/syncer.h"
@@ -125,6 +127,13 @@ class Replica {
     return strategy_ != ByzStrategy::kHonest;
   }
   [[nodiscard]] bool crashed() const { return crashed_; }
+  /// Simulator events this replica scheduled that still point at it: busy
+  /// CPU workers' completions and deferred proposals. After a crash they
+  /// only count themselves down, so a restart keeps the old instance
+  /// alive while this holds.
+  [[nodiscard]] bool has_pending_events() const {
+    return cpu_busy_workers_ > 0 || deferred_proposals_ > 0;
+  }
   [[nodiscard]] const sync::SyncStats& sync_stats() const {
     return syncer_.stats();
   }
@@ -132,13 +141,20 @@ class Replica {
 
  private:
   // --- CPU queue ----------------------------------------------------------
+  /// CPU-queue continuation. 48 bytes keep the per-message `[this, env]`
+  /// capture inline; larger captures (certificates) take one heap cell.
+  using CpuFn = sim::InlineFunction<48>;
   struct CpuWork {
     sim::Duration cost;
-    std::function<void()> fn;
+    CpuFn fn;
   };
-  void enqueue_cpu(sim::Duration cost, std::function<void()> fn);
+  void enqueue_cpu(sim::Duration cost, CpuFn fn);
   /// Hand queued work to idle verify workers (cpu_workers-server FIFO).
   void cpu_dispatch();
+  /// A worker finished the work in cpu_running_[slot]: run it, free the
+  /// worker and the slot, and dispatch the next item. After a crash it
+  /// only frees the worker.
+  void cpu_complete(std::uint32_t slot);
   [[nodiscard]] sim::Duration cost_of(const types::Message& msg);
   /// Strategy-aware simulated cost of verifying (or constructing) a
   /// k-signature certificate; the surcharge on top of the legacy flat
@@ -226,7 +242,12 @@ class Replica {
 
   // CPU
   std::deque<CpuWork> cpu_queue_;
+  /// Work held by busy workers, by slot (free slots listed in
+  /// cpu_free_slots_), so a completion event captures only its slot.
+  std::vector<CpuFn> cpu_running_;
+  std::vector<std::uint32_t> cpu_free_slots_;
   std::uint32_t cpu_busy_workers_ = 0;
+  std::uint32_t deferred_proposals_ = 0;  ///< propose_wait_after_vc timers
   bool crashed_ = false;
   VerifyStrategy verify_strategy_ = VerifyStrategy::kEager;
   // amortized-qc: certificates already charged (first-seen dedup), keyed by

@@ -1,8 +1,15 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_detail.h"
 #include "util/hex.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace bamboo::crypto {
 
@@ -37,7 +44,9 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+namespace detail {
+
+void compress_scalar(std::uint32_t* state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[static_cast<std::size_t>(i)] =
@@ -54,8 +63,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (std::size_t i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -74,14 +83,97 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+/// SHA-NI compression. The state lives in two registers as ABEF/CDGH; each
+/// quad-round adds four round constants to four schedule words and runs
+/// two sha256rnds2 (two rounds each). The schedule rolls through m0..m3,
+/// extended four words at a time by sha256msg1/msg2.
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* block) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i* words = reinterpret_cast<const __m128i*>(block);
+  const __m128i* k = reinterpret_cast<const __m128i*>(kRoundConstants.data());
+
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(words), kByteSwap);
+  __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128(words + 1), kByteSwap);
+  __m128i m2 = _mm_shuffle_epi8(_mm_loadu_si128(words + 2), kByteSwap);
+  __m128i m3 = _mm_shuffle_epi8(_mm_loadu_si128(words + 3), kByteSwap);
+
+  for (std::size_t q = 0; q < 16; ++q) {
+    const __m128i wk = _mm_add_epi32(m0, _mm_loadu_si128(k + q));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at a time.
+    const __m128i next = _mm_sha256msg2_epu32(
+        _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1),
+                      _mm_alignr_epi8(m3, m2, 4)),
+        m3);
+    m0 = m1;
+    m1 = m2;
+    m2 = m3;
+    m3 = next;
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+}  // namespace
+
+CompressFn shani_kernel() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return nullptr;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return nullptr;
+  const bool sha = (ebx & bit_SHA) != 0;
+  return ssse3 && sse41 && sha ? &compress_shani : nullptr;
+}
+
+#else
+
+CompressFn shani_kernel() { return nullptr; }
+
+#endif
+
+}  // namespace detail
+
+void Sha256::process_block(const std::uint8_t* block) {
+  // Chosen once per process: the CPU does not change under us.
+  static const detail::CompressFn compress = [] {
+    const detail::CompressFn hw = detail::shani_kernel();
+    return hw != nullptr ? hw : &detail::compress_scalar;
+  }();
+  compress(state_.data(), block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -107,38 +199,41 @@ void Sha256::update(std::span<const std::uint8_t> data) {
   }
 }
 
-void Sha256::update_u64(std::uint64_t v) {
-  std::array<std::uint8_t, 8> bytes;
-  for (int i = 0; i < 8; ++i)
-    bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
+template <std::size_t N>
+void Sha256::update_le(std::uint64_t v) {
+  // Room in the buffer (without filling it): write the bytes in place.
+  if (buffer_len_ + N < 64) {
+    for (std::size_t i = 0; i < N; ++i)
+      buffer_[buffer_len_ + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buffer_len_ += N;
+    total_len_ += N;
+    return;
+  }
+  std::array<std::uint8_t, N> bytes;
+  for (std::size_t i = 0; i < N; ++i)
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
   update(bytes);
 }
 
-void Sha256::update_u32(std::uint32_t v) {
-  std::array<std::uint8_t, 4> bytes;
-  for (int i = 0; i < 4; ++i)
-    bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  update(bytes);
-}
+void Sha256::update_u64(std::uint64_t v) { update_le<8>(v); }
+
+void Sha256::update_u32(std::uint32_t v) { update_le<4>(v); }
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  // After appending the 0x80 the buffer holds buffer_len_ bytes; pad with
-  // zeros until 56 mod 64. total_len_ bookkeeping is irrelevant from here.
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit
+  // length, written straight into the buffer (one or two compressions).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i)
-    len_bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update(len_bytes);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -23,7 +23,9 @@ struct Sha256Midstate {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch and verified
-/// against the NIST test vectors in tests/test_crypto.cpp.
+/// against the NIST test vectors in tests/test_crypto.cpp. Compression runs
+/// on the x86 SHA extensions when the CPU has them (picked once from cpuid)
+/// and on a portable kernel otherwise; both give identical digests.
 class Sha256 {
  public:
   Sha256() { reset(); }
@@ -54,7 +56,13 @@ class Sha256 {
   static Digest hash(std::string_view text);
 
  private:
+  /// Compress one 64-byte block into state_, on the SHA-NI kernel when the
+  /// CPU has the SHA extensions and on the portable one otherwise
+  /// (crypto/sha256_detail.h).
   void process_block(const std::uint8_t* block);
+  /// Append the low N bytes of v in little-endian order.
+  template <std::size_t N>
+  void update_le(std::uint64_t v);
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};

@@ -198,6 +198,9 @@ void Cluster::restart_replica(types::NodeId id) {
   retired_mem_rejected_ += old.pool().rejected_count();
   if (!old.crashed()) old.crash();  // quiesce timers before the swap
   ++restarts_;
+  if (old.has_pending_events()) {
+    draining_.push_back(std::move(replicas_.at(id)));
+  }
   replicas_.at(id) = build_replica(id);
   net_.set_down(id, false);  // crash() downed the NIC; bring it back
   replicas_.at(id)->reload_from_store();

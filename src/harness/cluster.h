@@ -132,6 +132,9 @@ class Cluster {
   std::string store_dir_;       ///< directory holding file-backed stores
   bool owns_store_dir_ = false;  ///< auto-generated dir, removed in dtor
   std::vector<std::unique_ptr<core::Replica>> replicas_;
+  /// Instances torn down by restart_replica while events they scheduled
+  /// were still pending; kept so those events stay valid.
+  std::vector<std::unique_ptr<core::Replica>> draining_;
   core::ReplicaStats retired_;
   sync::SyncStats retired_sync_;
   std::uint64_t retired_mem_admitted_ = 0;

@@ -1,12 +1,17 @@
 // SHA-256 against NIST/FIPS 180-4 test vectors, HMAC-SHA256 against RFC
-// 4231, and the simulated signature scheme.
+// 4231, both compression kernels against each other and against a
+// byte-wise padding model, and the simulated signature scheme.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "crypto/sha256_detail.h"
 #include "crypto/signer.h"
 #include "util/hex.h"
 
@@ -150,6 +155,166 @@ TEST(HmacSha256, LongKeyIsHashed) {
   EXPECT_EQ(
       hex_of(mac),
       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// ---------------------------------------------------------------------------
+// Compression kernels and padding
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes bytes_of(std::string_view s) { return Bytes(s.begin(), s.end()); }
+
+/// Reference SHA-256 built byte by byte: append 0x80, then zeros until the
+/// length is 56 mod 64, then the 64-bit big-endian bit length, and compress
+/// the result block by block with `kernel` from the FIPS 180-4 initial state.
+crypto::Digest model_hash(crypto::detail::CompressFn kernel, Bytes msg) {
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0x00);
+  for (int shift = 56; shift >= 0; shift -= 8)
+    msg.push_back(static_cast<std::uint8_t>(bit_len >> shift));
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  for (std::size_t off = 0; off < msg.size(); off += 64)
+    kernel(state.data(), msg.data() + off);
+  crypto::Digest out;
+  for (std::size_t i = 0; i < 32; ++i)
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+/// HMAC-SHA256 (RFC 2104) over model_hash, so a kernel can be checked
+/// against the RFC 4231 vectors on its own.
+crypto::Digest model_hmac(crypto::detail::CompressFn kernel, Bytes key,
+                          const Bytes& msg) {
+  if (key.size() > 64) {
+    const crypto::Digest k = model_hash(kernel, key);
+    key.assign(k.begin(), k.end());
+  }
+  key.resize(64, 0x00);
+  Bytes inner;
+  Bytes outer;
+  for (std::uint8_t b : key) {
+    inner.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+    outer.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const crypto::Digest inner_digest = model_hash(kernel, inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return model_hash(kernel, outer);
+}
+
+/// Both kernels this CPU can run: the portable one always, SHA-NI when the
+/// CPU has the SHA extensions.
+std::vector<crypto::detail::CompressFn> kernels() {
+  std::vector<crypto::detail::CompressFn> out = {
+      &crypto::detail::compress_scalar};
+  if (crypto::detail::CompressFn hw = crypto::detail::shani_kernel())
+    out.push_back(hw);
+  return out;
+}
+
+TEST(Sha256Kernels, HardwareMatchesScalarOnRandomBlocks) {
+  const crypto::detail::CompressFn hw = crypto::detail::shani_kernel();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  std::mt19937_64 rng(0x5ba256);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::array<std::uint32_t, 8> state;
+    for (auto& w : state) w = static_cast<std::uint32_t>(rng());
+    std::array<std::uint8_t, 64> block;
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng());
+    std::array<std::uint32_t, 8> expect = state;
+    crypto::detail::compress_scalar(expect.data(), block.data());
+    hw(state.data(), block.data());
+    ASSERT_EQ(state, expect) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Kernels, NistVectorsOnEveryKernel) {
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  for (const crypto::detail::CompressFn kernel : kernels()) {
+    for (const auto& [msg, want] : vectors) {
+      EXPECT_EQ(hex_of(model_hash(kernel, bytes_of(msg))), want)
+          << "length " << msg.size();
+    }
+  }
+}
+
+TEST(Sha256Kernels, Rfc4231VectorsOnEveryKernel) {
+  struct Case {
+    Bytes key;
+    std::string msg;
+    std::string want;
+  };
+  const Case cases[] = {
+      {Bytes(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes_of("Jefe"), "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(131, 0xaa),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"}};
+  for (const crypto::detail::CompressFn kernel : kernels()) {
+    for (const Case& c : cases) {
+      EXPECT_EQ(hex_of(model_hmac(kernel, c.key, bytes_of(c.msg))), c.want)
+          << c.msg;
+    }
+  }
+}
+
+TEST(Sha256, FinishMatchesBytewisePaddingModel) {
+  // Every length through four blocks, each hashed whole and split at every
+  // point, so the 0x80 lands at every buffer offset and both the one- and
+  // two-compression tails of finish() run.
+  std::mt19937_64 rng(256);
+  Bytes msg;
+  for (std::size_t len = 0; len <= 256; ++len) {
+    const crypto::Digest want =
+        model_hash(&crypto::detail::compress_scalar, msg);
+    for (std::size_t split = 0; split <= len; ++split) {
+      crypto::Sha256 h;
+      h.update(std::span<const std::uint8_t>(msg.data(), split));
+      h.update(std::span<const std::uint8_t>(msg.data() + split, len - split));
+      ASSERT_EQ(h.finish(), want) << "length " << len << " split " << split;
+    }
+    msg.push_back(static_cast<std::uint8_t>(rng()));
+  }
+}
+
+TEST(Sha256, IntegerAppendsMatchBytesAtEveryOffset) {
+  // update_u32/update_u64 write into the buffer in place when it has room;
+  // the digest must equal hashing the same little-endian bytes.
+  const std::uint64_t v64 = 0x0102030405060708ULL;
+  const std::uint32_t v32 = 0xa1b2c3d4U;
+  for (std::size_t prefix = 0; prefix <= 130; ++prefix) {
+    const std::string head(prefix, 'h');
+    crypto::Sha256 a;
+    a.update(head);
+    a.update_u64(v64);
+    a.update_u32(v32);
+    a.update_u64(v64);
+    Bytes bytes = bytes_of(head);
+    const auto append_le = [&bytes](std::uint64_t v, int n) {
+      for (int i = 0; i < n; ++i)
+        bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    append_le(v64, 8);
+    append_le(v32, 4);
+    append_le(v64, 8);
+    EXPECT_EQ(a.finish(), crypto::Sha256::hash(bytes)) << "prefix " << prefix;
+  }
 }
 
 // ---------------------------------------------------------------------------

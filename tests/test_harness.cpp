@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "client/workload.h"
@@ -110,6 +111,50 @@ TEST(Cluster, SameSeedIsBitForBitReproducible) {
   };
   EXPECT_EQ(run(111), run(111));
   EXPECT_NE(run(111), run(222));
+}
+
+TEST(Cluster, RestartOutlivesThePredecessorsPendingCpuWork) {
+  // Restart the replica at an instant when its CPU workers are busy: the
+  // completion events the old instance scheduled fire after the swap, so
+  // they must still find it alive (the sanitizer build checks this) and
+  // must not run its work.
+  core::Config cfg;
+  harness::Cluster cluster(cfg);
+  cluster.start();
+  while (!cluster.replica(3).has_pending_events()) {
+    ASSERT_TRUE(cluster.simulator().step());
+  }
+  cluster.restart_replica(3);
+  EXPECT_FALSE(cluster.replica(3).crashed());
+  cluster.simulator().run_for(sim::from_seconds(0.3));
+  EXPECT_EQ(cluster.restarts(), 1u);
+  EXPECT_TRUE(cluster.check_consistency().consistent);
+  EXPECT_GT(cluster.replica(3).stats().blocks_committed, 0u);
+}
+
+TEST(Cluster, RestartOutlivesThePredecessorsDeferredProposal) {
+  // In non-responsive mode a leader that enters its view after a timeout
+  // proposes only propose_wait_after_vc later. Restart it inside that
+  // wait: the deferred proposal must find the old instance alive and
+  // must not propose for it.
+  core::Config cfg;
+  cfg.byz_no = 1;
+  cfg.strategy = "crash";  // replica 3's views time out
+  cfg.propose_wait_after_vc = sim::milliseconds(50);
+  harness::Cluster cluster(cfg);
+  std::optional<types::NodeId> waiting;
+  cluster.add_view_listener([&](types::NodeId id, types::View view) {
+    if (!waiting && cluster.total_timeouts() > 0 &&
+        cluster.election().leader(view) == id) {
+      waiting = id;
+    }
+  });
+  cluster.start();
+  while (!waiting) ASSERT_TRUE(cluster.simulator().step());
+  cluster.restart_replica(*waiting);
+  cluster.simulator().run_for(sim::from_seconds(0.5));
+  EXPECT_EQ(cluster.restarts(), 1u);
+  EXPECT_TRUE(cluster.check_consistency().consistent);
 }
 
 // ---------------------------------------------------------------------------

@@ -159,14 +159,19 @@ TEST(Mempool, ParseAdmissionAcceptsTheThreePolicies) {
 }
 
 TEST(Mempool, ParseAdmissionRejectsHalfSpecifiedSpecs) {
-  EXPECT_THROW(mempool::parse_admission("backoff"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("backoff:"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("backoff:0"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority:1"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority:-0.1"),
+  EXPECT_THROW((void)mempool::parse_admission("backoff"),
                std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("fifo"), std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("backoff:"),
+               std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("backoff:0"),
+               std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("priority"),
+               std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("priority:1"),
+               std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("priority:-0.1"),
+               std::invalid_argument);
+  EXPECT_THROW((void)mempool::parse_admission("fifo"), std::invalid_argument);
 }
 
 TEST(Mempool, PriorityReservesRecycleHeadroom) {

@@ -106,10 +106,13 @@ struct PmHarness {
     pm = std::make_unique<pacemaker::Pacemaker>(
         sim, settings,
         pacemaker::Pacemaker::Callbacks{
-            [this](types::View v) { timeouts_broadcast.push_back(v); },
-            [this](types::View v, pacemaker::AdvanceReason r) {
-              entered.emplace_back(v, r);
-            }});
+            .broadcast_timeout =
+                [this](types::View v) { timeouts_broadcast.push_back(v); },
+            .on_enter_view =
+                [this](types::View v, pacemaker::AdvanceReason r) {
+                  entered.emplace_back(v, r);
+                },
+            .on_slot_stuck = nullptr});
   }
 };
 
